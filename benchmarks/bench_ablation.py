@@ -15,6 +15,10 @@
 import pytest
 
 from repro.engine import Executor
+from repro.engine.optimizer import optimize as optimize_plan
+from repro.provenance import ProvenanceRewriter
+from repro.sql.analyzer import Analyzer
+from repro.sql.parser import parse_statement
 from repro.synthetic import SyntheticConfig, load_synthetic, q1_sql
 
 SIZE = 400
@@ -31,11 +35,18 @@ def setup():
                          ids=("optimizer-on", "optimizer-off"))
 def test_optimizer_ablation_left(benchmark, setup, optimize):
     db, sql = setup
-    plan = db.plan(sql, strategy="left")
+    # the rewritten plan as it reaches the optimizer (db.plan() returns
+    # it already optimized)
+    analyzed = Analyzer(db.catalog).analyze(parse_statement(sql))
+    plan = ProvenanceRewriter(db.catalog, "left").rewrite_query(
+        analyzed).plan
+
+    def run():
+        tree = optimize_plan(plan, db.catalog) if optimize else plan
+        return Executor(db.catalog).execute(tree)
+
     benchmark.group = "ablation-optimizer"
-    benchmark.pedantic(
-        lambda: Executor(db.catalog, optimize=optimize).execute(plan),
-        rounds=1, iterations=1, warmup_rounds=0)
+    benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
 
 
 @pytest.mark.parametrize("strategy", ("unn", "left"))

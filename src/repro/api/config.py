@@ -1,9 +1,9 @@
 """Session-wide configuration.
 
 One :class:`SessionConfig` object travels from the connection through the
-analyzer, the :class:`~repro.provenance.rewriter.ProvenanceRewriter` and
-the :class:`~repro.engine.executor.Executor`, replacing the ad-hoc keyword
-arguments each layer used to grow.
+analyzer, the :class:`~repro.provenance.rewriter.ProvenanceRewriter`, the
+shared lowering step and the :class:`~repro.engine.executor.Executor`,
+replacing the ad-hoc keyword arguments each layer used to grow.
 """
 
 from __future__ import annotations
@@ -33,22 +33,22 @@ def _env_int(name: str, default: int) -> int:
 class SessionConfig:
     """Knobs shared by every statement a session runs.
 
+    Planning itself has no switches: every SELECT is analyzed,
+    rewritten, optimized and lowered the same way on every surface.
+    The knobs below choose *what* the planner may use (indexes,
+    workers) and how the plan runs (engine, batch size).
+
     ``default_strategy``
         Strategy substituted when SQL says plain ``SELECT PROVENANCE``
         (which parses as ``"auto"``); explicit ``SELECT PROVENANCE (name)``
         and per-call overrides win over it.  Resolved through the strategy
         registry, so registered third-party strategies are valid values.
-    ``optimize``
-        Run the logical optimizer pass (selection pushdown / join
-        extraction) when planning.  The ablation benchmark disables it.
-    ``compile_expressions``
-        Compile expressions to closures instead of tree-walking them.
     ``collect_stats``
         Keep per-operator evaluation counters in
         :class:`~repro.engine.ExecutionStats` (the cheap scalar counters
         are always maintained).
     ``plan_cache_size``
-        Capacity of the per-connection LRU plan cache; ``0`` disables
+        Capacity of the engine-wide LRU plan cache; ``0`` disables
         caching entirely.
     ``engine``
         Which execution engine runs statements: ``"pipelined"`` (the
@@ -130,8 +130,6 @@ class SessionConfig:
     """
 
     default_strategy: str = "auto"
-    optimize: bool = True
-    compile_expressions: bool = True
     collect_stats: bool = True
     plan_cache_size: int = 128
     engine: str = "pipelined"

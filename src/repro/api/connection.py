@@ -45,8 +45,7 @@ from __future__ import annotations
 import threading
 import weakref
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, \
-    Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..catalog import Catalog
 from ..datatypes import SQLType
@@ -54,7 +53,8 @@ from ..errors import (
     AnalyzerError, InterfaceError, ProgrammingError, ReproError,
     SerializationError,
 )
-from ..engine import ExecutionStats, Executor
+from ..engine import ExecutionStats, Executor, optimizer
+from ..engine.lowering import lower_for_session
 from ..expressions.ast import Expr
 from ..expressions.evaluator import EvalContext, Frame, evaluate
 from ..algebra.operators import Operator
@@ -83,9 +83,6 @@ from .transaction import Transaction
 #: conflicts.  Each retry means a concurrent commit made progress, so
 #: this is a livelock tripwire, not a latency budget.
 _AUTOCOMMIT_RETRIES = 1000
-
-if TYPE_CHECKING:
-    from ..engine.physical import PhysicalPlan
 
 
 class Connection:
@@ -322,25 +319,16 @@ class Connection:
         statement = parse_statement(text)
         if not isinstance(statement, SelectStmt):
             raise AnalyzerError("provenance() expects a SELECT statement")
-        strategy = strategy or AUTO
-        if strategy == AUTO and self.config.default_strategy != AUTO:
-            strategy = self.config.default_strategy
-        catalog = self._read_catalog()
-        plan, accesses = self._build_plan_full(statement, strategy, catalog)
-        return self._execute_uncached(plan, statement.param_count, params,
-                                      catalog, strategy, accesses)
+        return self._run_select_uncached(statement, strategy or AUTO, params)
 
     def plan(self, text: str, strategy: str | None = None) -> Operator:
-        """The algebra plan a query would execute (after any rewrite)."""
-        self._check_open()
-        statement = parse_statement(text)
-        if not isinstance(statement, SelectStmt):
-            raise AnalyzerError("plan() expects a SELECT statement")
-        return self._build_plan(
-            statement, self._effective_strategy(statement, strategy))
+        """The algebra plan a query would execute (after any rewrite and
+        the logical optimizer)."""
+        return self._plan_text(text, strategy)[0].plan
 
     def explain(self, text: str, strategy: str | None = None) -> str:
-        """EXPLAIN-style rendering of the logical (rewritten) plan."""
+        """EXPLAIN-style rendering of the logical plan (rewritten and
+        optimized)."""
         return explain_plan(self.plan(text, strategy))
 
     def explain_physical(self, text: str,
@@ -349,9 +337,7 @@ class Connection:
         operator tree the pipelined engine executes, with join algorithms
         and InitPlan/SubPlan sublink classification visible."""
         from ..engine.physical import explain_physical as render
-        catalog = self._read_catalog()
-        plan = self._optimize_plan(self.plan(text, strategy), catalog)
-        lowered = self._lower(plan, catalog)
+        lowered = self._plan_text(text, strategy)[0].physical
         if self.config.engine == "vectorized":
             # show the plan as the vectorized engine would run it, with
             # per-node [columnar]/[rows] batch-format tags
@@ -364,9 +350,8 @@ class Connection:
         count ``EXPLAIN`` would show on the plan root, without executing
         anything."""
         from ..engine.cost import CardinalityEstimator
-        catalog = self._read_catalog()
-        plan = self._optimize_plan(self.plan(text, strategy), catalog)
-        return CardinalityEstimator(catalog).estimate(plan)
+        planned, catalog = self._plan_text(text, strategy)
+        return CardinalityEstimator(catalog).estimate(planned.plan)
 
     def explain_analyze(self, text: str, params: Sequence[Any] = (),
                         strategy: str | None = None) -> str:
@@ -386,13 +371,12 @@ class Connection:
             else "pipelined"
         catalog = self._read_catalog()
         cached = self._get_plan(text, strategy, catalog=catalog)
+        config = self.config.with_options(engine=engine,
+                                          collect_stats=True)
         instance = cached.acquire_physical(
-            lambda: self._lower(cached.plan, catalog))
+            lambda: lower_for_session(cached.plan, catalog, self.config))
         try:
-            executor = Executor(
-                catalog, optimize=False,
-                config=self.config.with_options(
-                    engine=engine, collect_stats=True))
+            executor = Executor(catalog, config=config)
             relation = executor.execute_physical(
                 instance, check_arity(cached.param_count, params))
             stats = self._finish_stats(executor)
@@ -497,53 +481,41 @@ class Connection:
             strategy = self.config.default_strategy
         return strategy
 
-    def _optimize_plan(self, plan: Operator,
-                       catalog: Catalog | None = None) -> Operator:
-        """The session's logical-optimizer step (no-op when disabled)."""
-        if self.config.optimize:
-            from ..engine.optimizer import optimize as optimize_tree
-            plan = optimize_tree(
-                plan, catalog if catalog is not None else self.catalog)
-        return plan
+    def _plan(self, statement: SelectStmt, strategy: str | None,
+              catalog: Catalog) -> CachedPlan:
+        """Plan a SELECT: analyze → (provenance rewrite) → optimize →
+        lower, all against the one *catalog* snapshot.
 
-    def _lower(self, plan: Operator,
-               catalog: Catalog) -> "PhysicalPlan":
-        """Physical lowering with the given catalog and the session's
-        index knob — the one spelling shared by every planning surface,
-        so EXPLAIN output always describes the plan execution would run."""
-        from ..engine.lowering import lower_plan
-        physical = lower_plan(plan, catalog,
-                              use_indexes=self.config.use_indexes)
-        workers = self.config.max_parallel_workers
-        if workers >= 2 or catalog.partitions():
-            from ..engine.parallel import parallelize_plan
-            engine_name = self.config.engine \
-                if self.config.engine == "vectorized" else "pipelined"
-            physical = parallelize_plan(
-                physical, catalog, workers,
-                self.config.parallel_threshold, engine_name)
-        return physical
-
-    def _build_plan_full(self, statement: SelectStmt, strategy: str | None,
-                         catalog: Catalog
-                         ) -> tuple[Operator, list[BaseAccess] | None]:
-        """analyze → (rewrite): the un-optimized plan plus the rewrite's
-        base-access bookkeeping; the statement is left untouched."""
+        Every surface that runs or explains a SELECT gets its plan here —
+        the plan cache stores the result, the one-shot helpers run it
+        uncached — so EXPLAIN always describes the plan execution would
+        run.  *strategy* is the per-call override, resolved through
+        :meth:`_effective_strategy`.
+        """
+        strategy = self._effective_strategy(statement, strategy)
         plan = Analyzer(catalog).analyze(statement)
         accesses: list[BaseAccess] | None = None
         if strategy:
             rewriter = ProvenanceRewriter(catalog, strategy, self.config)
             result = rewriter.rewrite_query(plan)
             plan, accesses = result.plan, result.accesses
-        return plan, accesses
+        plan = optimizer.optimize(plan, catalog)
+        return CachedPlan(plan, statement.param_count, strategy,
+                          catalog.version,
+                          lower_for_session(plan, catalog, self.config),
+                          stats_version=catalog.stats_version,
+                          accesses=accesses)
 
-    def _build_plan(self, statement: SelectStmt,
-                    strategy: str | None,
-                    catalog: Catalog | None = None) -> Operator:
-        """Back-compat spelling of :meth:`_build_plan_full` (plan only)."""
-        if catalog is None:
-            catalog = self._read_catalog()
-        return self._build_plan_full(statement, strategy, catalog)[0]
+    def _plan_text(self, text: str, strategy: str | None
+                   ) -> tuple[CachedPlan, Catalog]:
+        """:meth:`_plan` for SELECT text on a fresh read snapshot (the
+        EXPLAIN-family surfaces), with the snapshot it planned against."""
+        self._check_open()
+        statement = parse_statement(text)
+        if not isinstance(statement, SelectStmt):
+            raise AnalyzerError("plan() expects a SELECT statement")
+        catalog = self._read_catalog()
+        return self._plan(statement, strategy, catalog), catalog
 
     def _plan_key(self, sql: str, override: str | None,
                   catalog: Catalog | None = None) -> tuple:
@@ -553,11 +525,10 @@ class Connection:
         # the cost model's answers (and CREATE/DROP INDEX bumps the DDL
         # counter), so no stale cost-based plan is ever served.  The
         # session planning knobs are too — the cache is engine-wide now,
-        # and sessions with different engines/optimizer settings must not
+        # and sessions with different engines/lowering settings must not
         # trade plans.
         return (sql, override, self.config.default_strategy,
-                self.config.engine, self.config.optimize,
-                self.config.compile_expressions, self.config.use_indexes,
+                self.config.engine, self.config.use_indexes,
                 self.config.max_parallel_workers,
                 self.config.parallel_threshold,
                 catalog.version, catalog.stats_version)
@@ -583,19 +554,7 @@ class Connection:
             if not isinstance(parsed, SelectStmt):
                 raise AnalyzerError("expected a SELECT statement")
             statement = parsed
-        strategy = self._effective_strategy(statement, override)
-        plan, accesses = self._build_plan_full(statement, strategy, catalog)
-        plan = self._optimize_plan(plan, catalog)
-        physical = None
-        if self.config.engine != "materializing":
-            # The baseline engine never executes the physical tree, so
-            # only the pipelined configuration pays for lowering.
-            physical = self._lower(plan, catalog)
-        cached = CachedPlan(plan, statement.param_count, strategy,
-                            catalog.version,
-                            physical=physical,
-                            accesses=accesses,
-                            stats_version=catalog.stats_version)
+        cached = self._plan(statement, override, catalog)
         cache.store(key, cached)
         return cached
 
@@ -612,16 +571,10 @@ class Connection:
                       catalog: Catalog) -> Result:
         """Run an already-planned cached statement (no per-call optimizer
         or lowering — a leased physical instance streams directly)."""
-        executor = Executor(catalog, optimize=False,
-                            config=self.config,
+        executor = Executor(catalog, config=self.config,
                             compiled_cache=cached.compiled)
-        if self.config.engine == "materializing":
-            relation = executor.execute(cached.plan, params)
-            self._finish_stats(executor)
-            return Result.completed(relation, strategy=cached.strategy,
-                                    accesses=cached.accesses)
         instance = cached.acquire_physical(
-            lambda: self._lower(cached.plan, catalog))
+            lambda: lower_for_session(cached.plan, catalog, self.config))
 
         def batches():
             try:
@@ -635,26 +588,19 @@ class Connection:
         self._live_results.add(result)
         return result
 
-    def _execute_uncached(self, plan: Operator, param_count: int,
-                          params: Sequence[Any], catalog: Catalog,
-                          strategy: str | None = None,
-                          accesses: list[BaseAccess] | None = None
-                          ) -> Result:
-        values = check_arity(param_count, params)
-        executor = Executor(catalog, config=self.config)
-        relation = executor.execute(plan, values)
-        self._finish_stats(executor)
-        return Result.completed(relation, strategy=strategy,
-                                accesses=accesses)
-
     def _run_select_uncached(self, statement: SelectStmt,
                              strategy: str | None = None,
                              params: Sequence[Any] = ()) -> Result:
+        """Plan through :meth:`_plan` without touching the plan cache and
+        run the result eagerly — the one-shot helpers' path."""
         catalog = self._read_catalog()
-        effective = self._effective_strategy(statement, strategy)
-        plan, accesses = self._build_plan_full(statement, effective, catalog)
-        return self._execute_uncached(plan, statement.param_count, params,
-                                      catalog, effective, accesses)
+        planned = self._plan(statement, strategy, catalog)
+        values = check_arity(planned.param_count, params)
+        executor = Executor(catalog, config=self.config)
+        relation = executor.execute_physical(planned.physical, values)
+        self._finish_stats(executor)
+        return Result.completed(relation, strategy=planned.strategy,
+                                accesses=planned.accesses)
 
     def _execute_text(self, sql: str,
                       params: Sequence[Any]) -> Result | int | None:

@@ -51,12 +51,12 @@ class CachedPlan:
     param_count: int
     strategy: str | None            # effective strategy, None = no rewrite
     catalog_version: int
-    #: statistics generation the plan was costed against
-    stats_version: int = 0
     #: template physical plan (pool seed); its nodes carry the
     #: batch-compiled expression closures, so a cache hit skips lowering
     #: *and* expression compilation.
-    physical: PhysicalPlan | None = None
+    physical: PhysicalPlan
+    #: statistics generation the plan was costed against
+    stats_version: int = 0
     #: provenance base accesses recorded by the rewrite (None when the
     #: statement was not a provenance query) — carried into
     #: :class:`repro.api.result.Result` for the witness accessors.
@@ -75,8 +75,7 @@ class CachedPlan:
                                        repr=False)
 
     def __post_init__(self) -> None:
-        if self.physical is not None:
-            self._pool.append(self.physical)
+        self._pool.append(self.physical)
 
     @property
     def column_names(self) -> tuple[str, ...]:
@@ -92,10 +91,7 @@ class CachedPlan:
             self.leased += 1
             if self._pool:
                 return self._pool.pop()
-        instance = lower()
-        if self.physical is None:
-            self.physical = instance    # adopt as the template
-        return instance
+        return lower()
 
     def release_physical(self, instance: PhysicalPlan) -> None:
         """Return a leased instance to the pool (dropped when full)."""

@@ -344,11 +344,10 @@ def _run_index_join(conn, repeats: int) -> tuple[float, float, int]:
     (must pick IndexNestedLoopJoin) vs the forced NestedLoopJoin."""
     from ..engine import Executor
     from ..engine.lowering import lower_plan
-    from ..engine.optimizer import optimize
     from ..engine.physical import explain_physical
 
     sql = "SELECT p.k, b.v FROM probe p JOIN big b ON p.k = b.k"
-    logical = optimize(conn.plan(sql), conn.catalog)
+    logical = conn.plan(sql)
     inlj_plan = lower_plan(logical, conn.catalog)
     nlj_plan = lower_plan(logical, conn.catalog, force_nested_loop=True)
     if "IndexNestedLoopJoin" not in explain_physical(inlj_plan):
@@ -362,8 +361,7 @@ def _run_index_join(conn, repeats: int) -> tuple[float, float, int]:
     timings: dict[str, float] = {}
     results: dict[str, Counter] = {}
     for label, plan in (("inlj", inlj_plan), ("nlj", nlj_plan)):
-        executor = Executor(conn.catalog, optimize=False,
-                            config=conn.config)
+        executor = Executor(conn.catalog, config=conn.config)
         results[label] = Counter(
             executor.execute_physical(plan).rows)    # warm
         start = time.perf_counter()

@@ -31,7 +31,6 @@ from typing import Any, Iterable, Sequence
 from .api import Connection, SessionConfig
 from .catalog import Catalog
 from .engine import ExecutionStats
-from .errors import AnalyzerError
 from .algebra.operators import Operator
 from .algebra.printer import explain
 from .relation import Relation
@@ -159,14 +158,3 @@ class Database:
     def _run_select(self, statement: SelectStmt,
                     strategy: str | None = None) -> Relation:
         return self.connection._run_select_uncached(statement, strategy)
-
-    def _run(self, statement) -> Relation | None:
-        result = self.connection._run_statement(statement)
-        return result if isinstance(result, Relation) else None
-
-    def _plan_select(self, statement: SelectStmt) -> Operator:
-        if not isinstance(statement, SelectStmt):
-            raise AnalyzerError("expected a SELECT statement")
-        return self.connection._build_plan(
-            statement,
-            self.connection._effective_strategy(statement, None))

@@ -1,25 +1,24 @@
 """The execution facade.
 
 :class:`Executor` keeps the one-statement execution surface the rest of
-the library (and its tests) program against, and dispatches to one of two
-engines:
+the library (and its tests) program against, and dispatches to one of
+three engines:
 
-* ``"pipelined"`` (the default) — two-phase planning (logical rewrite +
-  physical lowering) feeding the vectorized batch pipeline of
-  :mod:`repro.engine.pipeline`;
+* ``"pipelined"`` (the default) — the row-batch pipeline of
+  :mod:`repro.engine.pipeline` over lowered physical plans;
 * ``"vectorized"`` — the pipelined engine with columnar
   :class:`~repro.engine.columnar.ColumnBatch` data flow and whole-column
   expression kernels (:mod:`repro.engine.vectorized`), falling back to
   row operators per node where the vector compiler cannot help;
 * ``"materializing"`` — the original tree-walking interpreter
   (:mod:`repro.engine.materialize`), kept as the benchmark baseline and
-  the parity-test reference.
+  the parity-test reference; it runs a physical plan's logical tree.
 
-``optimize=True`` (the default) runs the logical optimizer pass
-(selection pushdown / join extraction) before execution — the engine's
-stand-in for PostgreSQL's planner, without which the cross-product shapes
-produced by the analyzer and the rewrite rules would dominate every
-measurement.  Disable it for the ablation benchmark.
+The executor runs plans, it does not optimize them: sessions plan every
+SELECT through one function (analyze, rewrite, optimize, lower — see
+:meth:`repro.api.Connection._plan`), and :meth:`Executor.execute` only
+lowers the tree it is handed with the same lowering step
+(:func:`~repro.engine.lowering.lower_for_session`).
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from ..algebra.operators import Operator
 from ..relation import Relation
 from .stats import ExecutionStats
 
-#: Engine names accepted by ``SessionConfig.engine`` / ``Executor``.
+#: Engine names accepted by ``SessionConfig.engine``.
 ENGINES = ("pipelined", "vectorized", "materializing")
 
 
@@ -43,35 +42,26 @@ class Executor:
     """Evaluates one algebra tree; create a fresh instance per statement.
 
     *config* is a :class:`repro.api.SessionConfig`; it supplies the
-    ``optimize`` / ``compile_expressions`` / ``engine`` / ``batch_size``
-    defaults when the explicit arguments are None.  *compiled_cache* lets
-    a cached plan share its compiled-expression closures across
-    executions of the materializing engine (the pipelined engine caches
-    compiled batch closures on the physical nodes themselves).
+    ``engine`` / ``batch_size`` / lowering knobs (defaults when None).
+    *compiled_cache* lets a cached plan share its compiled-expression
+    closures across executions of the materializing engine (the
+    pipelined engine caches compiled batch closures on the physical
+    nodes themselves).
     """
 
-    def __init__(self, catalog: Catalog, optimize: bool | None = None,
-                 compile_expressions: bool | None = None,
+    def __init__(self, catalog: Catalog,
                  config: SessionConfig | None = None,
-                 compiled_cache: dict[int, Any] | None = None,
-                 engine: str | None = None) -> None:
+                 compiled_cache: dict[int, Any] | None = None) -> None:
         self.catalog = catalog
         self.config = config
-        self.optimize = optimize if optimize is not None else (
-            config.optimize if config is not None else True)
-        self.compile_expressions = compile_expressions \
-            if compile_expressions is not None else (
-                config.compile_expressions if config is not None else True)
         self.collect_stats = \
             config.collect_stats if config is not None else True
-        self.engine = engine if engine is not None else (
-            config.engine if config is not None else "pipelined")
+        self.engine = config.engine if config is not None else "pipelined"
         self.stats = ExecutionStats()
         if self.engine == "materializing":
             from .materialize import MaterializingEngine
             self._impl = MaterializingEngine(
-                catalog, self.compile_expressions, self.collect_stats,
-                self.stats, compiled_cache)
+                catalog, self.collect_stats, self.stats, compiled_cache)
         else:
             if self.engine == "vectorized":
                 from .vectorized import VectorizedEngine as engine_cls
@@ -79,29 +69,22 @@ class Executor:
                 from .pipeline import PipelineEngine as engine_cls
             batch_size = config.batch_size if config is not None else 1024
             use_indexes = config.use_indexes if config is not None else True
-            workers = config.max_parallel_workers \
-                if config is not None else 0
-            threshold = config.parallel_threshold \
-                if config is not None else 10000
-            self._impl = engine_cls(
-                catalog, self.compile_expressions, self.collect_stats,
-                self.stats, batch_size, use_indexes=use_indexes,
-                max_parallel_workers=workers,
-                parallel_threshold=threshold)
+            self._impl = engine_cls(catalog, self.collect_stats,
+                                    self.stats, batch_size,
+                                    use_indexes=use_indexes)
 
     # -- public API ----------------------------------------------------------
 
     def execute(self, op: Operator, params: Iterable[Any] = ()) -> Relation:
-        """Run *op* and return its output relation.
+        """Lower *op* (no optimizer pass — it runs as given) and run it.
 
         *params* are the values bound to the plan's ``?`` placeholders
         (:class:`~repro.expressions.ast.Param` nodes), visible to every
         expression evaluated during this execution.
         """
-        if self.optimize:
-            from .optimizer import optimize as optimize_tree
-            op = optimize_tree(op, self.catalog)
-        return self._impl.execute(op, params)
+        from .lowering import lower_for_session
+        return self.execute_physical(
+            lower_for_session(op, self.catalog, self.config), params)
 
     def execute_physical(self, plan: PhysicalPlan,
                          params: Iterable[Any] = ()) -> Relation:

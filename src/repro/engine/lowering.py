@@ -40,6 +40,7 @@ never served again.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 from ..catalog import Catalog
 from ..datatypes import SQLType
@@ -65,6 +66,9 @@ from .physical import (
     Project as PhysicalProject, SeqScan, SetOperation, SortNode,
     StreamingLimit, SublinkPlan, SubPlanSublink, ValuesScan,
 )
+
+if TYPE_CHECKING:
+    from ..api.config import SessionConfig
 
 SubplanRegistry = dict[int, SublinkPlan]
 
@@ -117,6 +121,34 @@ def lower_plan(op: Operator, catalog: Catalog | None = None, *,
                        force_nested_loop=force_nested_loop)
     root = lowerer.lower(op)
     return PhysicalPlan(root, op, op.schema, lowerer.registry)
+
+
+def lower_for_session(op: Operator, catalog: Catalog,
+                      config: "SessionConfig | None" = None
+                      ) -> PhysicalPlan:
+    """The lowering step every statement surface shares: :func:`lower_plan`
+    under the session's index knob, then partition pruning and (with two
+    or more workers) Gather exchanges via
+    :func:`~repro.engine.parallel.parallelize_plan`.
+
+    Without *config* the defaults apply: indexes on, serial execution,
+    row-engine fragments.  Both passes are looked up at call time, so a
+    tracer that replaces the module attributes sees every call.
+    """
+    if config is None:
+        use_indexes, workers, threshold, engine = True, 0, 0, "pipelined"
+    else:
+        use_indexes = config.use_indexes
+        workers = config.max_parallel_workers
+        threshold = config.parallel_threshold
+        engine = "vectorized" if config.engine == "vectorized" \
+            else "pipelined"
+    physical = lower_plan(op, catalog, use_indexes=use_indexes)
+    if workers >= 2 or catalog.partitions():
+        from . import parallel
+        physical = parallel.parallelize_plan(
+            physical, catalog, workers, threshold, engine)
+    return physical
 
 
 class _Lowerer:

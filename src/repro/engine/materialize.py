@@ -51,11 +51,10 @@ class MaterializingEngine:
     """Evaluates one logical algebra tree, fully materializing every
     operator's output; create a fresh instance per statement."""
 
-    def __init__(self, catalog: Catalog, compile_expressions: bool,
-                 collect_stats: bool, stats: ExecutionStats,
+    def __init__(self, catalog: Catalog, collect_stats: bool,
+                 stats: ExecutionStats,
                  compiled_cache: dict[int, Any] | None = None) -> None:
         self.catalog = catalog
-        self.compile_expressions = compile_expressions
         self.collect_stats = collect_stats
         self.stats = stats
         self._params: tuple = ()
@@ -65,10 +64,8 @@ class MaterializingEngine:
             compiled_cache if compiled_cache is not None else {}
 
     def _evaluator(self, expr: Expr) -> "Callable[[dict], Any]":
-        """A callable ctx -> value for *expr*: compiled (cached by node
-        identity) or the tree-walking interpreter per the ablation flag."""
-        if not self.compile_expressions:
-            return lambda ctx, expr=expr: evaluate(expr, ctx)
+        """A compiled callable ctx -> value for *expr*, cached by node
+        identity."""
         key = id(expr)
         compiled = self._compiled.get(key)
         if compiled is None:

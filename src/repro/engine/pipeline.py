@@ -1,18 +1,23 @@
-"""The vectorized, pipelined execution engine.
+"""The pipelined execution engine.
 
-Drives a :class:`~repro.engine.physical.PhysicalPlan` by pulling
+Drives a lowered :class:`~repro.engine.physical.PhysicalPlan` by pulling
 fixed-size row batches through the operator tree and materializing into a
-:class:`~repro.relation.Relation` only at the sink.  One engine instance
-executes one statement (the session layer creates it per call), but —
-like the materializing engine it replaces — it keeps its InitPlan result
-cache for its whole lifetime, so components that hold an engine across
-queries (the direct-provenance evaluator) keep the InitPlan behaviour.
+:class:`~repro.relation.Relation` only at the sink.  It is the default
+engine; the columnar :mod:`repro.engine.vectorized` engine subclasses it,
+and the materializing interpreter (:mod:`repro.engine.materialize`)
+stays selectable as the baseline.  One engine instance executes one
+statement (the session layer creates it per call), but it keeps its
+InitPlan result cache for its whole lifetime, so components that hold an
+engine across queries (the direct-provenance evaluator) keep the
+InitPlan behaviour.
 
-The engine is also the evaluator's ``SubqueryRunner``: sublinks reach it
-through :class:`~repro.expressions.evaluator.EvalContext` with the
-*logical* query tree in hand; the lowering registry maps that tree's
-identity to its lowered InitPlan/SubPlan, so sublink evaluation never
-re-enters the interpreter.
+The engine only runs plans that are already lowered — planning happens
+once, in the session layer.  It is also the evaluator's
+``SubqueryRunner``: sublinks reach it through
+:class:`~repro.expressions.evaluator.EvalContext` with the *logical*
+query tree in hand; the lowering registry maps that tree's identity to
+its lowered InitPlan/SubPlan, so sublink evaluation never re-enters the
+interpreter.
 """
 
 from __future__ import annotations
@@ -36,50 +41,20 @@ Frames = tuple
 class PipelineEngine:
     """Executes physical plans over a catalog in row batches."""
 
-    #: Worker-side fragment compilation mode advertised to
-    #: :func:`~repro.engine.parallel.parallelize_plan`.
-    engine_name = "pipelined"
-
-    def __init__(self, catalog: Catalog, compile_expressions: bool,
-                 collect_stats: bool, stats: ExecutionStats,
-                 batch_size: int = 1024, use_indexes: bool = True,
-                 max_parallel_workers: int = 0,
-                 parallel_threshold: int = 10000) -> None:
+    def __init__(self, catalog: Catalog, collect_stats: bool,
+                 stats: ExecutionStats, batch_size: int = 1024,
+                 use_indexes: bool = True) -> None:
         self.catalog = catalog
-        self.compile_expressions = compile_expressions
         self.collect_stats = collect_stats
         self.stats = stats
         self.batch_size = batch_size
         self.use_indexes = use_indexes
-        self.max_parallel_workers = max_parallel_workers
-        self.parallel_threshold = parallel_threshold
         self.params: tuple = ()
         self._pull_stack: list = []
         self._subplans: dict[int, SublinkPlan] = {}
         self._initplan_cache: dict[int, list[tuple]] = {}
-        # keyed by id(op) but storing the tree alongside the plan: the
-        # stored reference keeps the tree alive (so its id cannot be
-        # recycled while cached) and the identity check rejects a stale
-        # entry if a tree ever ages out of liveness tracking elsewhere
-        self._lowered: dict[int, tuple[Operator, PhysicalPlan]] = {}
 
     # -- public API ----------------------------------------------------------
-
-    def execute(self, op: Operator, params: Iterable[Any] = ()) -> Relation:
-        """Lower *op* (cached per tree identity) and run the pipeline."""
-        entry = self._lowered.get(id(op))
-        if entry is not None and entry[0] is op:
-            plan = entry[1]
-        else:
-            plan = lower_plan(op, self.catalog,
-                              use_indexes=self.use_indexes)
-            if self.max_parallel_workers >= 2 or self.catalog.partitions():
-                from .parallel import parallelize_plan
-                plan = parallelize_plan(
-                    plan, self.catalog, self.max_parallel_workers,
-                    self.parallel_threshold, self.engine_name)
-            self._lowered[id(op)] = (op, plan)
-        return self.execute_physical(plan, params)
 
     def execute_physical(self, plan: PhysicalPlan,
                          params: Iterable[Any] = ()) -> Relation:

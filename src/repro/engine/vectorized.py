@@ -1188,8 +1188,6 @@ class VectorizedEngine(PipelineEngine):
     unchanged.
     """
 
-    engine_name = "vectorized"
-
     def _prepare(self, plan: PhysicalPlan) -> None:
         if not plan.vectorized:
             vectorize_plan(plan)

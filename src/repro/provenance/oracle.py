@@ -53,7 +53,7 @@ def closed_form_provenance(op: Select | Project, catalog: Catalog
         raise ReproError(
             "closed_form_provenance handles Select/Project only")
 
-    executor = Executor(catalog, optimize=False)
+    executor = Executor(catalog)
     input_rows = executor.execute(op.input).rows
     index = Frame.index_for(op.input.schema.names)
     sublinks: list[Sublink] = []

@@ -11,6 +11,8 @@ from repro.algebra.operators import (
 )
 from repro.algebra.trees import iter_operators
 from repro.algebra.properties import is_correlated
+from repro.sql.analyzer import Analyzer
+from repro.sql.parser import parse_statement
 
 
 @pytest.fixture
@@ -19,7 +21,8 @@ def db(figure3_db):
 
 
 def plan_of(db, sql):
-    return db.plan(sql)
+    """The analyzer's plan (``Database.plan`` would also optimize it)."""
+    return Analyzer(db.catalog).analyze(parse_statement(sql))
 
 
 class TestResolution:

@@ -208,8 +208,8 @@ class TestConnectionHelpers:
 
     def test_with_options_copy(self):
         config = SessionConfig()
-        changed = config.with_options(optimize=False)
-        assert changed.optimize is False and config.optimize is True
+        changed = config.with_options(use_indexes=False)
+        assert changed.use_indexes is False and config.use_indexes is True
 
     def test_one_shot_helpers_match_database(self, conn):
         sql = "SELECT PROVENANCE * FROM r WHERE a = ANY (SELECT c FROM s)"
@@ -359,3 +359,42 @@ class TestAnalyzeExpression:
         expr = _Parser(tokenize("y = 1")).parse_expr()
         with pytest.raises(AnalyzerError, match="unknown column"):
             Analyzer(Catalog()).analyze_expression(expr, schema)
+
+
+class TestOneSnapshotPerStatement:
+    """Under autocommit every surface plans (and, where it executes,
+    runs) a SELECT against exactly one catalog snapshot, so a concurrent
+    DDL can never make EXPLAIN describe a plan no execution would run."""
+
+    SQL = "SELECT PROVENANCE a FROM r WHERE a = ANY (SELECT c FROM s)"
+    PLAIN = "SELECT a FROM r WHERE a = ANY (SELECT c FROM s)"
+    SURFACES = {
+        "cursor": lambda conn, ps, sql: conn.cursor().execute(
+            sql).fetchall(),
+        "prepared": lambda conn, ps, sql: ps.execute().rows,
+        "sql": lambda conn, ps, sql: conn.sql(sql).rows,
+        "provenance": lambda conn, ps, sql: conn.provenance(
+            TestOneSnapshotPerStatement.PLAIN).rows,
+        "plan": lambda conn, ps, sql: conn.plan(sql),
+        "explain": lambda conn, ps, sql: conn.explain(sql),
+        "explain_physical": lambda conn, ps, sql: conn.explain_physical(
+            sql),
+        "explain_analyze": lambda conn, ps, sql: conn.explain_analyze(
+            sql),
+        "estimate_rows": lambda conn, ps, sql: conn.estimate_rows(sql),
+    }
+
+    @pytest.mark.parametrize("surface", sorted(SURFACES))
+    def test_exactly_one_snapshot(self, conn, monkeypatch, surface):
+        from repro.api.engine import Engine
+        prepared = conn.prepare(self.SQL)
+        original = Engine.snapshot
+        calls = []
+
+        def counting(engine):
+            calls.append(engine)
+            return original(engine)
+
+        monkeypatch.setattr(Engine, "snapshot", counting)
+        self.SURFACES[surface](conn, prepared, self.SQL)
+        assert len(calls) == 1, surface

@@ -13,7 +13,10 @@ from repro.algebra.operators import (
     BaseRelation, Join, JoinKind, Project, Select,
 )
 from repro.algebra.trees import iter_operators
+from repro.provenance import ProvenanceRewriter
 from repro.schema import Schema
+from repro.sql.analyzer import Analyzer
+from repro.sql.parser import parse_statement
 
 
 @pytest.fixture
@@ -21,11 +24,22 @@ def db(figure3_db):
     return figure3_db
 
 
-def equivalent(db, sql):
+def unoptimized(db, sql, strategy=None):
+    """The analyzed (and, with *strategy*, provenance-rewritten) plan as
+    it reaches the optimizer — ``Database.plan`` returns the optimized
+    one."""
+    plan = Analyzer(db.catalog).analyze(parse_statement(sql))
+    if strategy:
+        plan = ProvenanceRewriter(db.catalog, strategy).rewrite_query(
+            plan).plan
+    return plan
+
+
+def equivalent(db, sql, strategy=None):
     """Optimized and unoptimized executions must agree (as bags)."""
-    plan = db.plan(sql)
-    fast = Executor(db.catalog, optimize=True).execute(plan)
-    slow = Executor(db.catalog, optimize=False).execute(plan)
+    plan = unoptimized(db, sql, strategy)
+    fast = Executor(db.catalog).execute(optimize(plan, db.catalog))
+    slow = Executor(db.catalog).execute(plan)
     assert fast.bag_equal(slow), sql
     return fast
 
@@ -48,24 +62,20 @@ class TestEquivalence:
 
     def test_provenance_plans_equivalent(self, db):
         for strategy in ("gen", "left", "move", "unn"):
-            plan = db.plan(
-                "SELECT * FROM r WHERE a = ANY (SELECT c FROM s)",
-                strategy=strategy)
-            fast = Executor(db.catalog, optimize=True).execute(plan)
-            slow = Executor(db.catalog, optimize=False).execute(plan)
-            assert fast.bag_equal(slow), strategy
+            equivalent(db, "SELECT * FROM r WHERE a = ANY (SELECT c FROM s)",
+                       strategy)
 
 
 class TestPlanShapes:
     def test_equality_becomes_join_condition(self, db):
-        plan = optimize(db.plan("SELECT a, c FROM r, s WHERE a = c"))
+        plan = optimize(unoptimized(db, "SELECT a, c FROM r, s WHERE a = c"))
         joins = [op for op in iter_operators(plan)
                  if isinstance(op, Join) and op.condition != TRUE]
         assert joins, "equality conjunct should move into the join"
 
     def test_single_side_predicate_pushed_below_join(self, db):
         plan = optimize(
-            db.plan("SELECT a, c FROM r, s WHERE a = c AND b = 1"))
+            unoptimized(db, "SELECT a, c FROM r, s WHERE a = c AND b = 1"))
         join = next(op for op in iter_operators(plan)
                     if isinstance(op, Join))
         # the b = 1 filter must now be on the r side, below the join

@@ -249,15 +249,26 @@ PARITY_QUERIES = [
 ]
 
 
+#: Session surfaces that run a SELECT: the plan-cached cursor text, the
+#: uncached one-shot helper and a prepared statement.
+SURFACES = {
+    "cursor": lambda conn, sql: conn.execute(sql).rows,
+    "sql": lambda conn, sql: conn.sql(sql).rows,
+    "prepared": lambda conn, sql: conn.prepare(sql).execute().rows,
+}
+
+
+@pytest.mark.parametrize("surface", sorted(SURFACES))
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("partitions", [None, 4])
-def test_parallel_matches_serial_bit_for_bit(engine, partitions):
+def test_parallel_matches_serial_bit_for_bit(engine, partitions, surface):
+    run = SURFACES[surface]
     serial = connect(engine=engine)
     _seed_events(serial, partitions=partitions)
     parallel = connect(engine=engine, **PARALLEL)
     _seed_events(parallel, partitions=partitions)
     for sql in PARITY_QUERIES:
-        assert parallel.execute(sql).rows == serial.execute(sql).rows, sql
+        assert run(parallel, sql) == run(serial, sql), sql
     serial.close()
     parallel.close()
 
@@ -290,6 +301,8 @@ def test_parallel_aggregate_actually_fans_out():
     stats = conn.last_stats
     assert stats.parallel_fanouts >= 1
     assert stats.parallel_workers >= 2
+    conn.sql("SELECT grp, sum(val) FROM events GROUP BY grp")
+    assert conn.last_stats.parallel_fanouts >= 1
     conn.close()
 
 

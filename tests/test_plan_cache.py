@@ -168,7 +168,7 @@ class TestKeyingAndLRU:
         cache = PlanCache(capacity=2)
         plans = {
             name: CachedPlan(plan=None, param_count=0, strategy=None,
-                             catalog_version=0)
+                             catalog_version=0, physical=None)
             for name in "abc"}
         cache.store("a", plans["a"])
         cache.store("b", plans["b"])

@@ -343,39 +343,3 @@ class TestColumnBatchRoundTrip:
         assert second is not first
         # NULL-free int columns are array('q')-backed; compare values
         assert list(second[0].values) == [1, 2, 3]
-
-
-class TestLoweredCacheRegression:
-    """PR-7 fix: ``PipelineEngine._lowered`` keyed by ``id(op)`` could
-    serve a stale plan when a dead tree's id was recycled.  The cache now
-    stores the tree alongside the plan and validates identity."""
-
-    def test_recycled_id_cannot_serve_stale_plan(self):
-        from repro.engine.pipeline import PipelineEngine
-        from repro.engine.stats import ExecutionStats
-
-        connection = connect()
-        _populate(connection)
-        plan_a = connection.plan("SELECT a FROM r")
-        plan_b = connection.plan("SELECT d FROM s")
-        engine = PipelineEngine(connection.catalog, True, False,
-                                ExecutionStats())
-        result_a = engine.execute(plan_a)
-        assert sorted(result_a.rows) == [(1,), (2,), (2,), (3,)]
-        # simulate an id collision: plan_b's id maps to plan_a's entry
-        engine._lowered[id(plan_b)] = engine._lowered[id(plan_a)]
-        result_b = engine.execute(plan_b)
-        assert sorted(result_b.rows) == [(3,), (4,), (4,), (5,)]
-
-    def test_cache_entry_pins_tree(self):
-        from repro.engine.pipeline import PipelineEngine
-        from repro.engine.stats import ExecutionStats
-
-        connection = connect()
-        _populate(connection)
-        engine = PipelineEngine(connection.catalog, True, False,
-                                ExecutionStats())
-        op = connection.plan("SELECT a FROM r")
-        engine.execute(op)
-        entry = engine._lowered[id(op)]
-        assert entry[0] is op    # the stored tree keeps the id alive
