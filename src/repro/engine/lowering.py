@@ -8,8 +8,10 @@ The planner is two-phase:
 2. **physical lowering** (this module): the logical tree is translated
    into an executable :class:`~repro.engine.physical.PhysicalPlan` —
    join algorithms picked, sublinks classified into InitPlans
-   (uncorrelated, execute-once) vs SubPlans (correlated, per-outer-row)
-   and lowered recursively, limits made streaming.
+   (uncorrelated, execute-once) vs SubPlans (correlated, memoized per
+   correlation value) and lowered recursively — each maximal
+   outer-invariant subtree of a SubPlan behind a
+   :class:`~repro.engine.physical.Materialize` — limits made streaming.
 
 With a *catalog* the lowering consults the cardinality estimator and the
 index registry (:mod:`repro.engine.cost`, :mod:`repro.storage.index`):
@@ -46,7 +48,7 @@ from ..catalog import Catalog
 from ..datatypes import SQLType
 from ..errors import ExecutionError
 from ..expressions.ast import (
-    Arith, BoolOp, Cast, Col, Comparison, Const, Expr, FuncCall, Like,
+    Arith, BoolOp, Cast, Col, Comparison, Const, Expr, FuncCall, Like, Neg,
     Sublink, TRUE, and_all, conjuncts_of, walk,
 )
 from ..expressions.evaluator import Frame
@@ -55,14 +57,15 @@ from ..algebra.operators import (
     Aggregate, BaseRelation, Join, JoinKind, Limit, Operator, Project,
     Select, SetOp, Sort, Values,
 )
-from ..algebra.properties import is_correlated
+from ..algebra.properties import correlated_subtrees, reads_outer_scope
 from .cost import (
     CardinalityEstimator, FLIP_COMPARISON, HASH_BUILD_COST,
     HASH_PROBE_COST, INDEX_PROBE_COST, NLJ_COMPARE_COST, SORT_FACTOR,
 )
 from .physical import (
     Filter, HashAggregate, HashJoin, IndexNestedLoopJoin, IndexScan,
-    InitPlanSublink, NestedLoopJoin, PhysicalOperator, PhysicalPlan,
+    InitPlanSublink, Materialize, NestedLoopJoin, PhysicalOperator,
+    PhysicalPlan,
     Project as PhysicalProject, SeqScan, SetOperation, SortNode,
     StreamingLimit, SublinkPlan, SubPlanSublink, ValuesScan,
 )
@@ -107,7 +110,8 @@ def split_equi_keys(op: Join) -> tuple[list[tuple[int, int]], list[Expr]]:
 
 def lower_plan(op: Operator, catalog: Catalog | None = None, *,
                use_indexes: bool = True,
-               force_nested_loop: bool = False) -> PhysicalPlan:
+               force_nested_loop: bool = False,
+               as_sublink: bool = False) -> PhysicalPlan:
     """Lower an (already logically optimized) operator tree.
 
     With *catalog* the lowering is cost-based (see the module docstring);
@@ -116,10 +120,17 @@ def lower_plan(op: Operator, catalog: Catalog | None = None, *,
     ``force_nested_loop=True`` lowers every join to a
     :class:`NestedLoopJoin` — a benchmarking hook that lets the smoke
     bench price one join algorithm against another on identical inputs.
+    ``as_sublink=True`` lowers *op* as a sublink query, exactly as the
+    sublinks of a statement are lowered, and registers it in the plan's
+    ``subplans`` under its own identity — for engines asked to run a
+    sublink query no plan registered.
     """
     lowerer = _Lowerer(catalog, use_indexes=use_indexes,
                        force_nested_loop=force_nested_loop)
-    root = lowerer.lower(op)
+    if as_sublink:
+        root = lowerer.lower_sublink(None, op).plan
+    else:
+        root = lowerer.lower(op)
     return PhysicalPlan(root, op, op.schema, lowerer.registry)
 
 
@@ -164,10 +175,35 @@ class _Lowerer:
         self.estimator = None if catalog is None \
             else CardinalityEstimator(catalog)
         self.registry: SubplanRegistry = {}
+        #: While a correlated sublink query lowers: the identities of
+        #: its subtrees that read an outer row (None everywhere else).
+        self._correlated: set[int] | None = None
 
     # -- dispatch -------------------------------------------------------------
 
     def lower(self, op: Operator) -> PhysicalOperator:
+        scope = self._correlated
+        if scope is None or id(op) in scope \
+                or isinstance(op, (BaseRelation, Values)):
+            return self._lower_node(op)
+        return self._materialize(op)
+
+    def _materialize(self, op: Operator) -> PhysicalOperator:
+        """*op*, a maximal outer-invariant subtree of a SubPlan, behind a
+        :class:`Materialize`: computed once per execution and replayed
+        for every later outer row."""
+        scope = self._correlated
+        self._correlated = None
+        try:
+            child = self._lower_node(op)
+        finally:
+            self._correlated = scope
+        node = Materialize(child)
+        node.est_rows = child.est_rows
+        node.est_cost = child.est_cost
+        return node
+
+    def _lower_node(self, op: Operator) -> PhysicalOperator:
         if isinstance(op, BaseRelation):
             return self._annotate(
                 SeqScan(op.table, op.alias, op.schema.names), op)
@@ -228,7 +264,10 @@ class _Lowerer:
         if self.use_indexes and isinstance(op.input, BaseRelation):
             scan, conjuncts = self._try_index_scan(op.input, conjuncts)
 
-        child = scan if scan is not None else self.lower(op.input)
+        if scan is None:
+            child, conjuncts = self._split_invariant(op, conjuncts)
+        else:
+            child = scan
         condition = and_all(conjuncts)
         if condition == TRUE:
             # the index conjunct absorbed the whole selection
@@ -237,6 +276,33 @@ class _Lowerer:
                       Frame.index_for(op.input.schema.names))
         node.sublinks = self._collect_sublinks((condition,))
         return self._annotate(node, op)
+
+    def _split_invariant(self, op: Select, conjuncts: list[Expr]
+                         ) -> tuple[PhysicalOperator, list[Expr]]:
+        """The lowered input of a SubPlan selection and the conjuncts
+        left for its per-outer-row filter.
+
+        When the input does not read the outer row, neither do some
+        conjuncts; those run once, under a :class:`Materialize` with the
+        input, instead of once per outer row.  A conjunct moves only if
+        it cannot raise, or if every conjunct before it moves too —
+        otherwise it would see rows the AND order keeps from it.
+        """
+        scope = self._correlated
+        if scope is None or id(op.input) in scope:
+            return self.lower(op.input), conjuncts
+        schema = op.input.schema
+        invariant: list[Expr] = []
+        rest: list[Expr] = []
+        for part in conjuncts:
+            if not reads_outer_scope(part) and (
+                    not rest or _is_safe_conjunct(part, schema)):
+                invariant.append(part)
+            else:
+                rest.append(part)
+        if not invariant:
+            return self.lower(op.input), conjuncts
+        return self._materialize(Select(op.input, and_all(invariant))), rest
 
     def _order_conjuncts(self, conjuncts: list[Expr],
                          op_input: Operator) -> list[Expr]:
@@ -475,14 +541,28 @@ class _Lowerer:
         if isinstance(expr, Sublink):
             existing = self.registry.get(id(expr.query))
             if existing is None:
-                plan = self.lower(expr.query)
-                cls = SubPlanSublink if is_correlated(expr.query) \
-                    else InitPlanSublink
-                existing = cls(expr, expr.query, plan)
-                self.registry[id(expr.query)] = existing
+                existing = self.lower_sublink(expr, expr.query)
             found.append(existing)
         for child in expr.children():
             self._walk_sublinks(child, found)
+
+    def lower_sublink(self, sublink: Sublink | None,
+                      query: Operator) -> SublinkPlan:
+        """Lower and register one sublink query: an InitPlan when it is
+        uncorrelated, else a SubPlan whose maximal outer-invariant
+        subtrees sit behind :class:`Materialize` nodes."""
+        scope = correlated_subtrees(query)
+        correlated = id(query) in scope
+        saved = self._correlated
+        self._correlated = scope if correlated else None
+        try:
+            plan = self.lower(query)
+        finally:
+            self._correlated = saved
+        cls = SubPlanSublink if correlated else InitPlanSublink
+        sub = cls(sublink, query, plan)
+        self.registry[id(query)] = sub
+        return sub
 
 
 def _may_raise(expr: Expr) -> bool:
@@ -521,6 +601,9 @@ def _static_family(expr: Expr, schema: Schema) -> str | None:
         if isinstance(value, str):
             return "text"
         return None
+    if isinstance(expr, Neg) and isinstance(expr.operand, Const) \
+            and _static_family(expr.operand, schema) == "num":
+        return "num"    # a negative literal: ``-3`` parses as Neg(3)
     if isinstance(expr, Col) and expr.level == 0 and expr.name in schema:
         return _TYPE_FAMILY.get(schema[expr.name].type)
     return None

@@ -16,7 +16,9 @@ algebra leaves open — the decisions the paper's Figures 6-9 measure:
   while Left/Move's disjunctive ``Jsub`` conditions nested-loop;
 * :class:`InitPlanSublink` vs :class:`SubPlanSublink` — uncorrelated
   sublinks execute once per statement (PostgreSQL's InitPlan),
-  correlated ones once per outer row (parameterized SubPlan);
+  correlated ones once per distinct correlation value (parameterized
+  SubPlan, memoized by the engine), with their outer-invariant subtrees
+  behind :class:`Materialize`;
 * :class:`StreamingLimit` — stops pulling from its child once satisfied
   instead of materializing the full input.
 
@@ -42,6 +44,7 @@ from ..expressions.evaluator import EvalContext, Frame, evaluate
 from ..expressions.aggregates import make_accumulator
 from ..expressions.printer import format_expr
 from ..algebra.operators import JoinKind, SetOpKind, SortKey
+from ..algebra.properties import outer_references
 from ..relation import Relation
 from ..schema import Schema
 
@@ -57,8 +60,6 @@ class SublinkPlan:
     engine's ``run_subquery`` hook)."""
 
     __slots__ = ("sublink", "query", "plan")
-
-    correlated = False
 
     def __init__(self, sublink: Sublink, query: Any,
                  plan: "PhysicalOperator") -> None:
@@ -76,14 +77,27 @@ class InitPlanSublink(SublinkPlan):
     """An uncorrelated sublink: executed at most once per statement, the
     result cached for every later evaluation (PostgreSQL's InitPlan)."""
 
-    correlated = False
-
 
 class SubPlanSublink(SublinkPlan):
-    """A correlated sublink: re-executed for every outer row with the
-    outer frames bound (PostgreSQL's parameterized SubPlan)."""
+    """A correlated sublink: executed with the outer frames bound
+    (PostgreSQL's parameterized SubPlan).  The engine memoizes its result
+    per execution on the values of :attr:`outer_refs`."""
 
-    correlated = True
+    __slots__ = ("_outer_refs",)
+
+    def __init__(self, sublink: Sublink, query: Any,
+                 plan: "PhysicalOperator") -> None:
+        super().__init__(sublink, query, plan)
+        self._outer_refs: tuple[tuple[int, str], ...] | None = None
+
+    @property
+    def outer_refs(self) -> tuple[tuple[int, str], ...]:
+        """The outer columns the query reads, as ``(frame depth, name)``
+        (see :func:`~repro.algebra.properties.outer_references`);
+        computed on first use, then kept with the plan."""
+        if self._outer_refs is None:
+            self._outer_refs = outer_references(self.query)
+        return self._outer_refs
 
 
 class PhysicalOperator:
@@ -1056,6 +1070,82 @@ class StreamingLimit(PhysicalOperator):
 
 
 # ---------------------------------------------------------------------------
+# SubPlan caching
+# ---------------------------------------------------------------------------
+
+class Materialize(PhysicalOperator):
+    """An outer-invariant subtree of a correlated sublink query, replayed.
+
+    Lowering wraps each maximal uncorrelated non-scan subtree of a
+    SubPlan in this node.  The first open in an execution streams the
+    subtree through and records its rows; once the subtree is exhausted
+    the rows go to the engine's per-execution cache, and every later
+    open — one per outer row — replays them without reopening the
+    subtree.  A first run its parent abandons early records nothing, so
+    the next open simply runs the subtree again.  The rows live on the
+    engine, never on the node: a plan-cached plan pins nothing between
+    executions and always sees the current data.
+    """
+
+    __slots__ = ("child", "_rows", "_pos", "_recording")
+
+    def __init__(self, child: PhysicalOperator) -> None:
+        super().__init__()
+        self.child = child
+        self._rows: list[tuple] | None = None
+        self._pos = 0
+        self._recording: list[tuple] | None = None
+
+    def children(self) -> tuple[PhysicalOperator, ...]:
+        return (self.child,)
+
+    def open(self, engine: PipelineEngine, frames: tuple) -> None:
+        cached = engine.materialized.get(id(self))
+        if cached is None:
+            super().open(engine, frames)
+            self._recording = []
+            return
+        self.engine = engine
+        self.frames = frames
+        if engine.collect_stats:
+            engine.stats.bump(self)
+            engine.stats.node(self).loops += 1
+        self._rows = cached
+        self._pos = 0
+
+    def next_batch(self) -> list | None:
+        rows = self._rows
+        if rows is not None:
+            if self._pos >= len(rows):
+                return None
+            batch = rows[self._pos:self._pos + self.engine.batch_size]
+            self._pos += len(batch)
+            return batch
+        recording = self._recording
+        if recording is None:
+            return None
+        batch = self.engine.pull(self.child)
+        if batch is None:
+            self.engine.materialized[id(self)] = recording
+            self._recording = None
+            return None
+        recording.extend(batch)
+        return batch
+
+    def close(self) -> None:
+        replaying = self._rows is not None
+        self.engine = None
+        self.frames = ()
+        self._rows = None
+        self._recording = None
+        if not replaying:
+            self.child.close()
+
+    def label(self) -> str:
+        return "Materialize (outer-invariant, cached per execution)"
+
+
+# ---------------------------------------------------------------------------
 # EXPLAIN rendering
 # ---------------------------------------------------------------------------
 
@@ -1129,7 +1219,15 @@ def _render(node: PhysicalOperator, indent: int, lines: list[str],
                 lines.append(pad + f"  Worker {worker}: rows={rows} "
                              f"time={seconds * 1e3:.3f}ms")
     for sub in node.sublinks:
-        lines.append(pad + "  " + sub.label)
+        text = pad + "  " + sub.label
+        if stats is not None:
+            # loops = executions of the sublink plan; hits = evaluations
+            # answered from the engine's InitPlan and SubPlan caches
+            entry = stats.node_stats.get(id(sub.plan))
+            loops = 0 if entry is None else entry.loops
+            hits = 0 if entry is None else entry.hits
+            text += f"  (loops={loops} hits={hits})"
+        lines.append(text)
         _render(sub.plan, indent + 2, lines, stats, tagged)
     for child in node.children():
         _render(child, indent + 1, lines, stats, tagged)

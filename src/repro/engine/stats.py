@@ -27,6 +27,10 @@ class NodeStats:
     time — ``EXPLAIN ANALYZE`` reports both, and the per-operator
     aggregation uses self time so a pipeline's total is not counted once
     per enclosing operator.
+
+    ``hits`` is only used on the root of a sublink plan: the evaluations
+    of that sublink the engine answered from its InitPlan or SubPlan
+    cache instead of running the plan (``loops`` counts the runs).
     """
 
     rows: int = 0
@@ -34,6 +38,7 @@ class NodeStats:
     time_ns: int = 0
     child_ns: int = 0
     loops: int = 0
+    hits: int = 0
 
     @property
     def time_ms(self) -> float:
@@ -47,6 +52,11 @@ class NodeStats:
 @dataclass
 class ExecutionStats:
     """Counters exposed for benchmarking and the ablation study.
+
+    ``sublink_executions`` counts sublink plan runs and
+    ``sublink_cache_hits`` the sublink evaluations answered without a
+    run: InitPlan results, and SubPlan results memoized on their
+    correlation values.
 
     ``plan_cache_hits`` / ``plan_cache_misses`` are filled in by the
     session layer (:class:`repro.api.Connection`), which owns the plan

@@ -968,6 +968,8 @@ ROW_ONLY_FALLBACK: dict[str, str] = {
                      "partition map; batches would be rebuilt per part",
     "Gather": "exchange boundary: fragments ship encoded rows between "
               "processes, vector work happens inside the fragments",
+    "Materialize": "lowered only inside correlated sublink plans, which "
+                   "run on rows under outer frames",
 }
 
 

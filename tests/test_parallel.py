@@ -294,6 +294,25 @@ def test_provenance_strategies_parity_under_parallelism(engine):
     parallel.close()
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+def test_gen_subplans_parity_under_parallelism(engine):
+    from test_physical_engine import (
+        GEN_SUBPLAN_QUERIES, gen_subplan_catalogs,
+    )
+    for source, sql in GEN_SUBPLAN_QUERIES:
+        catalog = gen_subplan_catalogs()[source]
+        serial = connect(engine=engine, catalog=catalog)
+        parallel = connect(engine=engine, catalog=catalog, **PARALLEL)
+        text = "SELECT PROVENANCE " + sql.lstrip()[len("SELECT "):]
+        expected = serial.prepare(text, strategy="gen").execute().rows
+        assert expected, sql
+        prepared = parallel.prepare(text, strategy="gen")
+        for _ in range(2):
+            assert prepared.execute().rows == expected, sql
+        serial.close()
+        parallel.close()
+
+
 def test_parallel_aggregate_actually_fans_out():
     conn = connect(**PARALLEL)
     _seed_events(conn, partitions=4)

@@ -8,6 +8,7 @@ depend on (hash joins for Unn equi-joins, InitPlans for uncorrelated
 sublinks, streaming limits).
 """
 
+import functools
 import os
 from collections import Counter
 
@@ -15,6 +16,8 @@ import pytest
 
 from repro import connect
 from repro.errors import InterfaceError
+from repro.synthetic import SyntheticConfig, load_synthetic, q1_sql, q2_sql
+from repro.tpch import install_views, load_tpch, query_sql
 
 # Queries over the Figure 3 relations r(a, b) / s(c, d) covering every
 # operator the engines implement; bag-compared (order-insensitive).
@@ -64,6 +67,31 @@ ORDERED_QUERIES = [
     "SELECT a FROM r ORDER BY a LIMIT 2",
     "SELECT a FROM r ORDER BY a DESC LIMIT 1 OFFSET 1",
 ]
+
+
+#: Gen rewrites whose correlated ``Csub+`` sublinks (Section 3.3) and
+#: nested sublinks exercise the SubPlan memo and the outer-invariant
+#: Materialize subtrees, as ``(catalog, query)`` over
+#: :func:`gen_subplan_catalogs`.  Each returns rows there.
+GEN_SUBPLAN_QUERIES = [
+    ("tpch", query_sql(16, 0)),
+    ("tpch", query_sql(22, 0)),
+    ("synthetic", q1_sql(40, 40, seed=4)),
+    ("synthetic", q2_sql(40, 40, seed=4)),
+]
+
+
+@functools.cache
+def gen_subplan_catalogs() -> dict:
+    """Catalogs for :data:`GEN_SUBPLAN_QUERIES` (built once; read only).
+
+    The TPC-H instance keeps one order in eight, so some customers have
+    none and Q22's ``NOT EXISTS`` lets rows through."""
+    tpch = load_tpch(scale=0.0001, seed=7)
+    install_views(tpch)
+    tpch.execute("DELETE FROM orders WHERE o_orderkey % 8 <> 0")
+    synthetic = load_synthetic(SyntheticConfig(40, 40, seed=4))
+    return {"tpch": tpch.catalog, "synthetic": synthetic.catalog}
 
 
 def _populate(conn) -> None:
@@ -130,6 +158,27 @@ class TestEngineParity:
         fast = pipelined.sql(sql, params=(2,))
         slow = materializing.sql(sql, params=(2,))
         assert Counter(fast.rows) == Counter(slow.rows)
+
+
+class TestGenSubPlanParity:
+    """Gen's correlated and nested sublinks through the per-execution
+    SubPlan caches, once planned and once from the plan cache, against
+    the materializing engine (which caches nothing per outer row)."""
+
+    @pytest.mark.parametrize("source,sql", GEN_SUBPLAN_QUERIES)
+    def test_gen_subplan_parity(self, source, sql):
+        catalog = gen_subplan_catalogs()[source]
+        fast = connect(engine=os.environ.get("REPRO_ENGINE", "pipelined"),
+                       catalog=catalog)
+        slow = connect(engine="materializing", catalog=catalog)
+        expected = Counter(slow.provenance(sql, strategy="gen").rows)
+        assert expected
+        prepared = fast.prepare(
+            "SELECT PROVENANCE " + sql.lstrip()[len("SELECT "):],
+            strategy="gen")
+        for _ in range(2):
+            assert Counter(prepared.execute().rows) == expected
+            assert fast.last_stats.sublink_cache_hits > 0
 
 
 class TestStreamingLimit:
